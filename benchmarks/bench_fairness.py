@@ -1,10 +1,10 @@
 """Fair-share allocator benchmarks: vectorized solvers vs scalar loops.
 
 Times the production allocators in ``repro.netsim.fairness`` (per-level
-numpy array ops over a link x flow incidence matrix) against frozen
-pure-Python scalar references that implement the same progressive
-filling with per-flow loops — the implementation shape the vectorized
-solvers replaced. Every timed pair is also cross-checked: the two
+numpy array ops over a link x flow incidence matrix) against the frozen
+pure-Python scalar references in ``tests/oracles/fairness.py``, which
+implement the same progressive filling with per-flow loops — the
+implementation shape the vectorized solvers replaced. Every timed pair is also cross-checked: the two
 implementations must agree to 1e-9 on every flow rate.
 
 The headline scale is 10k flows over a few hundred links, the regime
@@ -27,12 +27,12 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import math
 import platform
 import random
 import sys
 import time
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 
@@ -43,115 +43,12 @@ from repro.netsim.fairness import (
     weighted_max_min_rates,
 )
 
-
-# ---------------------------------------------------------------------------
-# Frozen scalar references (pure Python progressive filling).
-#
-# These mirror the vectorized solvers' arithmetic step for step — one
-# ``count * level`` product and one subtraction per link per level —
-# so agreement is tight (1e-9); only summation order inside numpy's
-# matvecs differs.
-# ---------------------------------------------------------------------------
-
-def scalar_max_min(caps, flow_links):
-    n_links = len(caps)
-    n_flows = len(flow_links)
-    rates = [0.0] * n_flows
-    active = [True] * n_flows
-    n_active = n_flows
-    link_flows = [[] for _ in range(n_links)]
-    for f, links in enumerate(flow_links):
-        for l in links:
-            link_flows[l].append(f)
-        if not links:
-            rates[f] = math.inf
-            active[f] = False
-            n_active -= 1
-    remaining = [float(c) for c in caps]
-    while n_active > 0:
-        best_l, best_share = -1, math.inf
-        for l in range(n_links):
-            cnt = 0
-            for f in link_flows[l]:
-                if active[f]:
-                    cnt += 1
-            if cnt:
-                share = remaining[l] / cnt
-                if share < best_share:
-                    best_share, best_l = share, l
-        newly = [f for f in link_flows[best_l] if active[f]]
-        for f in newly:
-            rates[f] = best_share
-            active[f] = False
-        n_active -= len(newly)
-        newly_set = set(newly)
-        for l in range(n_links):
-            cnt = 0
-            for f in link_flows[l]:
-                if f in newly_set:
-                    cnt += 1
-            if cnt:
-                remaining[l] = max(remaining[l] - cnt * best_share, 0.0)
-    return rates
-
-
-def scalar_weighted_max_min(caps, flow_links, weights):
-    n_links = len(caps)
-    n_flows = len(flow_links)
-    rates = [0.0] * n_flows
-    active = [True] * n_flows
-    n_active = n_flows
-    link_flows = [[] for _ in range(n_links)]
-    for f, links in enumerate(flow_links):
-        for l in links:
-            link_flows[l].append(f)
-        if not links:
-            rates[f] = math.inf
-            active[f] = False
-            n_active -= 1
-    remaining = [float(c) for c in caps]
-    while n_active > 0:
-        best_l, best_level = -1, math.inf
-        for l in range(n_links):
-            wload = 0.0
-            for f in link_flows[l]:
-                if active[f]:
-                    wload += weights[f]
-            if wload > 0.0:
-                level = remaining[l] / wload
-                if level < best_level:
-                    best_level, best_l = level, l
-        if best_l < 0:
-            break
-        newly = [f for f in link_flows[best_l] if active[f]]
-        for f in newly:
-            rates[f] = best_level * weights[f]
-            active[f] = False
-        n_active -= len(newly)
-        newly_set = set(newly)
-        for l in range(n_links):
-            drained = 0.0
-            for f in link_flows[l]:
-                if f in newly_set:
-                    drained += rates[f]
-            remaining[l] = max(remaining[l] - drained, 0.0)
-    return rates
-
-
-def scalar_equal_share(caps, flow_links):
-    n_links = len(caps)
-    counts = [0] * n_links
-    for links in flow_links:
-        for l in links:
-            counts[l] += 1
-    per_link = [
-        caps[l] / counts[l] if counts[l] else math.inf
-        for l in range(n_links)
-    ]
-    return [
-        min((per_link[l] for l in links), default=math.inf)
-        for links in flow_links
-    ]
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.oracles.fairness import (  # noqa: E402  (repo root on path)
+    scalar_equal_share,
+    scalar_max_min,
+    scalar_weighted_max_min,
+)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,10 @@
 
 Three kernels are timed against each other:
 
-- the frozen **seed** kernel (faithful copy below: tuple-allocating
+- the frozen **seed** kernel (``RefSimulator``: tuple-allocating
   ``__lt__``, peek+pop double traversal in ``run``, no compaction, no
   free list, no same-instant lane);
-- the **heap** kernel (``HeapEventQueue``, the PR-4 fast path:
+- the **heap** kernel (``HeapEventQueue``, the first fast path:
   allocation-free compare, lazy-cancel compaction, free list, ready
   lane);
 - the **calendar** kernel (``CalendarQueue``, the default: bucketed
@@ -31,134 +31,22 @@ from __future__ import annotations
 
 import argparse
 import gc
-import heapq
 import json
 import platform
 import sys
 import time
 from datetime import datetime, timezone
+from pathlib import Path
 
 from repro.observe.recorder import MetricsRecorder
 from repro.simcore import Simulator, Timeout
-from repro.simcore.event import CalendarQueue, HeapEventQueue
-from repro.simcore.process import Process
+from repro.simcore.event import CalendarQueue
 
-
-# ---------------------------------------------------------------------------
-# Frozen reference kernel (the seed implementation, verbatim semantics).
-# ---------------------------------------------------------------------------
-
-class RefEvent:
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "pooled")
-
-    def __init__(self, time, seq, callback, args=()):
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self.pooled = False     # compat with Simulator.cancel bookkeeping
-
-    def cancel(self):
-        self.cancelled = True
-
-    def __lt__(self, other):
-        return (self.time, self.seq) < (other.time, other.seq)
-
-
-class RefEventQueue:
-    """Binary heap with lazy cancellation — no compaction, no pooling."""
-
-    def __init__(self):
-        self._heap = []
-        self._seq = 0
-        self._live = 0
-
-    def push(self, time, callback, args=()):
-        event = RefEvent(time, self._seq, callback, args)
-        self._seq += 1
-        heapq.heappush(self._heap, event)
-        self._live += 1
-        return event
-
-    def pop(self):
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if not event.cancelled:
-                self._live -= 1
-                return event
-        raise RuntimeError("pop from empty event queue")
-
-    def peek_time(self):
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
-
-    def note_cancelled(self):
-        self._live -= 1
-
-    def __len__(self):
-        return self._live
-
-    def __bool__(self):
-        return self._live > 0
-
-
-class RefSimulator:
-    """The seed event loop: peek_time + pop per iteration, all events
-    through the heap. Exposes the same internal surface the process
-    machinery uses (``_immediate``, ``_wakeup``, ``_queue``)."""
-
-    def __init__(self, start_time=0.0):
-        self._queue = RefEventQueue()
-        self._now = float(start_time)
-        self._processes_started = 0
-        self.event_count = 0
-
-    @property
-    def now(self):
-        return self._now
-
-    def schedule(self, delay, callback, *args):
-        return self._queue.push(self._now + delay, callback, args)
-
-    def cancel(self, event):
-        if not event.cancelled:
-            event.cancel()
-            self._queue.note_cancelled()
-
-    def _immediate(self, callback, arg):
-        self._queue.push(self._now, callback, (arg,))
-
-    def _wakeup(self, delay, callback, args):
-        self._queue.push(self._now + delay, callback, args)
-
-    def process(self, gen, name=""):
-        proc = Process(gen, name=name)
-        proc._bind(self)
-        self._processes_started += 1
-        return proc
-
-    def step(self):
-        if not self._queue:
-            return False
-        event = self._queue.pop()
-        self._now = event.time
-        self.event_count += 1
-        event.callback(*event.args)
-        return True
-
-    def run(self, until=None):
-        while self._queue:
-            next_time = self._queue.peek_time()
-            if until is not None and next_time is not None and next_time > until:
-                self._now = max(self._now, until)
-                break
-            self.step()
-        else:
-            if until is not None and until > self._now:
-                self._now = until
-        return self._now
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.oracles.kernel import (  # noqa: E402  (repo root on path)
+    HeapEventQueue,
+    RefSimulator,
+)
 
 
 # ---------------------------------------------------------------------------

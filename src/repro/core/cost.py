@@ -161,8 +161,9 @@ class CostModel:
         # completions, cache admits/evictions, output registration) bump
         # one of the two. The memoized arrays are frozen read-only
         # because every hit shares them. ``memo_rows=False`` restores
-        # the always-recompute behaviour (the scalar dispatch oracle
-        # runs that way so a memo bug cannot hide from the differential).
+        # the always-recompute behaviour (the tests' scalar dispatch
+        # oracle runs that way so a memo bug cannot hide from the
+        # differential).
         self._memo_rows = memo_rows
         self._row_cache: dict = {}
         # last row served, for estimate-at-chosen-site lookups right

@@ -6,8 +6,10 @@ The kernel provides:
 - :class:`Process` — generator-based coroutine processes,
 - waitables (:class:`Timeout`, :class:`Signal`, :class:`AllOf`,
   :class:`AnyOf`) that processes ``yield`` to suspend,
-- :class:`Resource` / :class:`Store` — capacity-limited queueing primitives,
-- :class:`Monitor` — timestamped metric collection.
+- :class:`Resource` / :class:`Store` — capacity-limited queueing primitives.
+
+Counters and time series live in :mod:`repro.observe` (the metrics
+registry and its sim-clock recorder), not in the kernel.
 
 Determinism: events at equal times fire in schedule order (a monotonic
 sequence number breaks ties), so a simulation is a pure function of its
@@ -26,7 +28,6 @@ from repro.simcore.process import (
     Waitable,
 )
 from repro.simcore.resources import Resource, Request, Store
-from repro.simcore.monitor import Monitor, TraceRecord
 
 __all__ = [
     "Event",
@@ -42,6 +43,4 @@ __all__ = [
     "Resource",
     "Request",
     "Store",
-    "Monitor",
-    "TraceRecord",
 ]

@@ -1,4 +1,4 @@
-"""Small statistics helpers used by monitors and benchmark reports."""
+"""Small statistics helpers used by result summaries and benchmark reports."""
 
 from __future__ import annotations
 

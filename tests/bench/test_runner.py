@@ -89,6 +89,12 @@ class TestResultCache:
         (tmp_path / "old.json").write_text(json.dumps({"schema": "v0"}))
         assert cache.load("old.json") is None
 
+    @pytest.mark.parametrize("text", ["[]", "1", '"schema"', "null"])
+    def test_non_object_json_is_a_miss(self, tmp_path, text):
+        cache = ResultCache(str(tmp_path))
+        (tmp_path / "odd.json").write_text(text)
+        assert cache.load("odd.json") is None
+
     def test_missing_is_a_miss(self, tmp_path):
         assert ResultCache(str(tmp_path)).load("nope.json") is None
 

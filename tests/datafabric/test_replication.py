@@ -76,7 +76,7 @@ class TestReplicationTriggers:
             rep.record_access("d0", "device")
         sim.run()
         assert rep.replications_started == 1
-        assert net.monitor.counters["flows_started"] == 1
+        assert net.flows_started == 1
 
     def test_already_present_not_repushed(self):
         sim, net, cat, svc = make_world()

@@ -119,7 +119,7 @@ class TestDeduplication:
         sim.process(reader("r2"))
         sim.run()
         assert len(results) == 2
-        assert net.monitor.counters["flows_started"] == 1
+        assert net.flows_started == 1
         assert net.total_bytes_moved == 100.0
 
     def test_sequential_second_stage_is_free(self):

@@ -9,11 +9,11 @@ vetoes, hedging, and control-plane partitions layered on, and demand
 equality of the full decision stream, the per-task records, and the
 scalar result metrics.
 
-The scalar engine runs with the row memo disabled
-(``repro.core.refdispatch``, ``SchedulingContext(memo=False)``), so the
-two sides share no cached arithmetic: any drift in the memo's
-invalidation or the in-place availability updates shows up here as a
-decision mismatch.
+The scalar engine is the frozen oracle in ``tests/oracles/dispatch.py``,
+injected with ``scalar_oracle()``, which also disables the cost model's
+row memo. The two sides share no cached arithmetic: any drift in the
+memo's invalidation or the in-place availability updates shows up here
+as a decision mismatch. ``TestScalarOracle`` guards that independence.
 """
 
 import pytest
@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.continuum import geo_random_continuum, science_grid
 from repro.controlplane import ControlPlaneConfig
-from repro.core import ContinuumScheduler
+from repro.core import ContinuumScheduler, CostModel
 from repro.core.strategies import (
     AdaptiveUCBStrategy,
     CostAwareStrategy,
@@ -43,6 +43,7 @@ from repro.faults import OutageSchedule, SiteOutage, TaskChaos
 from repro.faults.partitions import PartitionSchedule, PartitionWindow
 from repro.resilience import ResiliencePolicy
 from repro.workloads import layered_random_dag
+from tests.oracles.dispatch import scalar_dispatch, scalar_oracle
 
 # every strategy shape in the repo: fixed, random (RNG-stream
 # sensitive), round-robin (call-order sensitive), data-aware, batch
@@ -75,7 +76,7 @@ SETTINGS = settings(
 )
 
 
-def _run_one(dispatch, n_tasks, n_sites, seed, strategy_name, flavor):
+def _run_one(n_tasks, n_sites, seed, strategy_name, flavor):
     topo = geo_random_continuum(n_sites, seed=seed)
     dag, externals = layered_random_dag(n_tasks, n_levels=3, seed=seed)
     names = topo.site_names
@@ -111,7 +112,7 @@ def _run_one(dispatch, n_tasks, n_sites, seed, strategy_name, flavor):
         )
         kwargs["resilience"] = ResiliencePolicy.full(seed=5)
 
-    sched = ContinuumScheduler(topo, seed=seed, dispatch=dispatch)
+    sched = ContinuumScheduler(topo, seed=seed)
     return sched.run(dag, STRATEGIES[strategy_name](),
                      external_inputs=placed, **kwargs)
 
@@ -119,13 +120,14 @@ def _run_one(dispatch, n_tasks, n_sites, seed, strategy_name, flavor):
 def run_both(params):
     """Run scalar then wave; both must succeed or both must fail."""
     try:
-        scalar = _run_one("scalar", *params)
+        with scalar_oracle():
+            scalar = _run_one(*params)
     except SchedulingError as exc:
         with pytest.raises(SchedulingError) as caught:
-            _run_one("wave", *params)
+            _run_one(*params)
         assert str(caught.value) == str(exc)
         return None, None
-    wave = _run_one("wave", *params)
+    wave = _run_one(*params)
     return scalar, wave
 
 
@@ -185,12 +187,12 @@ class TestWaveScalarDifferential:
             dag.add_task(TaskSpec(f"t{i}", work=2.0 + i % 4,
                                   outputs=(Dataset(f"o{i}", 1e5),),
                                   pinned_site=pinned))
-        runs = [
-            ContinuumScheduler(topo, seed=5, dispatch=mode).run(
-                dag, RandomStrategy())
-            for mode in ("scalar", "wave")
-        ]
-        assert runs[0].decisions == runs[1].decisions
+        def run():
+            return ContinuumScheduler(topo, seed=5).run(dag, RandomStrategy())
+
+        with scalar_oracle():
+            scalar = run()
+        assert scalar.decisions == run().decisions
 
     def test_partitioned_control_plane_identical(self):
         """Stale reads through a partitioned replicated catalog: the
@@ -212,36 +214,77 @@ class TestWaveScalarDifferential:
             prev = out.name
         schedule = PartitionSchedule().add(
             PartitionWindow(1.0, 30.0, "minority", (0, 1)))
-        results = []
-        for mode in ("scalar", "wave"):
+        def run():
             control = ControlPlaneConfig.for_lag(
                 2.0, n_sites=5, read_mode="stale")
-            results.append(ContinuumScheduler(
-                topo, seed=7, dispatch=mode).run(
-                    dag, RoundRobinStrategy(),
-                    external_inputs=[(ref, "beamline-edge")],
-                    control=control, partitions=schedule))
-        scalar, wave = results
+            return ContinuumScheduler(topo, seed=7).run(
+                dag, RoundRobinStrategy(),
+                external_inputs=[(ref, "beamline-edge")],
+                control=control, partitions=schedule)
+
+        with scalar_oracle():
+            scalar = run()
+        wave = run()
         assert scalar.decisions == wave.decisions
         assert scalar.makespan == wave.makespan
         assert scalar.control.reads == wave.control.reads
         assert scalar.control.misplacements == wave.control.misplacements
 
 
-class TestDispatchConfig:
-    def test_env_var_selects_engine(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISPATCH", "scalar")
-        topo = geo_random_continuum(4, seed=1)
-        assert ContinuumScheduler(topo).dispatch == "scalar"
-        monkeypatch.delenv("REPRO_DISPATCH")
-        assert ContinuumScheduler(topo).dispatch == "wave"
+def _fanout_run():
+    """Twenty tasks sharing one input signature: a single ready wave
+    in which the row memo can serve every task after the first."""
+    from repro.datafabric import Dataset
+    from repro.workflow import TaskSpec, WorkflowDAG
 
-    def test_explicit_param_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISPATCH", "scalar")
-        topo = geo_random_continuum(4, seed=1)
-        assert ContinuumScheduler(topo, dispatch="wave").dispatch == "wave"
+    topo = geo_random_continuum(6, seed=2)
+    dag = WorkflowDAG("fanout")
+    dag.add_task(TaskSpec("src", work=1.0, outputs=(Dataset("d", 1e7),)))
+    for i in range(20):
+        dag.add_task(TaskSpec(f"t{i}", work=3.0, inputs=("d",)))
+    return ContinuumScheduler(topo, seed=1).run(dag, GreedyEFTStrategy())
 
-    def test_unknown_mode_rejected(self):
+
+def _memo_hits(monkeypatch, run):
+    """``run()``'s result plus its ``estimate_batch`` calls and cost-row
+    memo hits. A hit hands back the arrays an earlier call built."""
+    estimate_batch = CostModel.estimate_batch
+    rows, tally = [], {"calls": 0, "hits": 0}
+
+    def spy(self, task, sites):
+        batch = estimate_batch(self, task, sites)
+        tally["calls"] += 1
+        tally["hits"] += any(row is batch.stage_time_s for row in rows)
+        rows.append(batch.stage_time_s)
+        return batch
+
+    with monkeypatch.context() as patch:
+        patch.setattr(CostModel, "estimate_batch", spy)
+        return run(), tally
+
+
+class TestScalarOracle:
+    def test_oracle_shares_no_memoized_rows(self, monkeypatch):
+        """The injected oracle must compute every cost row afresh, or
+        the differential would compare the wave path with itself."""
+        with scalar_oracle():
+            scalar, scalar_tally = _memo_hits(monkeypatch, _fanout_run)
+        wave, wave_tally = _memo_hits(monkeypatch, _fanout_run)
+        assert scalar.decisions == wave.decisions
+        assert scalar_tally["calls"] > 0 and scalar_tally["hits"] == 0
+        assert wave_tally["calls"] > 0 and wave_tally["hits"] > 0
+
+    def test_oracle_selects_engine_inside_block_only(self):
+        from repro.core import context, scheduler
+
+        before = scheduler.wave_dispatch, context.CostModel
+        with pytest.raises(RuntimeError):
+            with scalar_oracle():
+                assert scheduler.wave_dispatch is scalar_dispatch
+                raise RuntimeError
+        assert (scheduler.wave_dispatch, context.CostModel) == before
+
+    def test_dispatch_keyword_removed(self):
         topo = geo_random_continuum(4, seed=1)
-        with pytest.raises(SchedulingError):
-            ContinuumScheduler(topo, dispatch="warp")
+        with pytest.raises(TypeError):
+            ContinuumScheduler(topo, dispatch="wave")

@@ -4,7 +4,8 @@ end and prove the zero-interference + determinism contracts.
 Also the kernel regression the calendar queue made necessary: the PR-2
 differential suite only compared traced runs on the *heap* kernel, so
 this file pins traced+metered runs bit-identical under both the
-CalendarQueue default and the HeapEventQueue fallback.
+CalendarQueue default and the HeapEventQueue oracle
+(``tests/oracles/kernel.py``).
 """
 
 import json
@@ -20,8 +21,9 @@ from repro.observe import (
     validate_chrome_trace,
     validate_snapshot,
 )
-from repro.simcore.event import CalendarQueue, HeapEventQueue
+from repro.simcore.event import CalendarQueue
 from repro.workloads import beamline_pipeline
+from tests.oracles.kernel import HeapEventQueue
 
 
 def run_beamline(tracer=None, metrics=None):

@@ -89,7 +89,7 @@ class TestConstructionScaling:
 
         _, wall = timed(run)
         assert net.active_flow_count == 0
-        assert len(net.completed) == 500
+        assert net.flows_completed == 500
         assert wall < 1.5, f"500-flow churn took {wall:.2f}s"
 
     def test_wide_fan_in_dag_builds_quickly(self):

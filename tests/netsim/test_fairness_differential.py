@@ -1,8 +1,9 @@
 """Differential validation of the vectorized fair-share solvers.
 
-A frozen pure-Python scalar reference for weighted max-min (progressive
+The frozen pure-Python scalar reference for weighted max-min (progressive
 water-filling with per-flow loops — the implementation shape the
-vectorized solver replaced) lives in this file. Hypothesis-generated
+vectorized solver replaced) lives in ``tests/oracles/fairness.py``,
+shared with ``benchmarks/bench_fairness.py``. Hypothesis-generated
 random topologies drive both implementations, which must agree to 1e-9
 on every flow rate, including the degenerate shapes: single flow,
 all flows on one link, local (link-less) flows, extreme weight ratios.
@@ -29,53 +30,7 @@ from repro.netsim.fairness import (
     max_min_fair_rates,
     weighted_max_min_rates,
 )
-
-
-# ---------------------------------------------------------------------------
-# Frozen scalar reference (pure Python water-filling)
-# ---------------------------------------------------------------------------
-
-def scalar_weighted_max_min(caps, flow_links, weights):
-    n_links = len(caps)
-    n_flows = len(flow_links)
-    rates = [0.0] * n_flows
-    active = [True] * n_flows
-    n_active = n_flows
-    link_flows = [[] for _ in range(n_links)]
-    for f, links in enumerate(flow_links):
-        for l in links:
-            link_flows[l].append(f)
-        if not links:
-            rates[f] = math.inf
-            active[f] = False
-            n_active -= 1
-    remaining = [float(c) for c in caps]
-    while n_active > 0:
-        best_l, best_level = -1, math.inf
-        for l in range(n_links):
-            wload = 0.0
-            for f in link_flows[l]:
-                if active[f]:
-                    wload += weights[f]
-            if wload > 0.0:
-                level = remaining[l] / wload
-                if level < best_level:
-                    best_level, best_l = level, l
-        if best_l < 0:
-            break
-        newly = [f for f in link_flows[best_l] if active[f]]
-        for f in newly:
-            rates[f] = best_level * weights[f]
-            active[f] = False
-        n_active -= len(newly)
-        newly_set = set(newly)
-        for l in range(n_links):
-            drained = 0.0
-            for f in link_flows[l]:
-                if f in newly_set:
-                    drained += rates[f]
-            remaining[l] = max(remaining[l] - drained, 0.0)
-    return rates
+from tests.oracles.fairness import scalar_weighted_max_min
 
 
 @st.composite

@@ -91,5 +91,4 @@ def test_incremental_matrix_matches_rebuild(seed):
 
     assert checked, "no checkpoint observed active flows"
     assert net.active_flow_count == 0
-    assert (net.monitor.counters["flows_started"]
-            == net.monitor.counters["flows_completed"] == 40)
+    assert net.flows_started == net.flows_completed == 40

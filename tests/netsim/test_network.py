@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from repro.continuum import Link, Site, Tier, Topology
@@ -175,15 +178,13 @@ class TestAccounting:
 
         sim.run_process(body())
         assert net.total_bytes_moved == pytest.approx(100.0)
-        assert len(net.completed) == 2
-        assert net.monitor.counters["flows_completed"] == 2
+        assert net.flows_completed == 2
         # started/completed must balance once the network is quiescent
-        assert (net.monitor.counters["flows_started"]
-                == net.monitor.counters["flows_completed"])
+        assert net.flows_started == net.flows_completed
 
     def test_flow_counters_balance_on_fast_paths(self):
         """Local and zero-byte transfers skip the shared allocation but
-        must still count as started, or the monitor's flow counters can
+        must still count as started, or the network's flow counters can
         never balance."""
         sim = Simulator()
         net = FlowNetwork(sim, pair(latency=0.25, bandwidth=100.0))
@@ -194,8 +195,29 @@ class TestAccounting:
             yield net.transfer("a", "b", 100.0)   # ordinary wire flow
 
         sim.run_process(body())
-        assert net.monitor.counters["flows_started"] == 3
-        assert net.monitor.counters["flows_completed"] == 3
+        assert net.flows_started == 3
+        assert net.flows_completed == 3
+
+    def test_finished_flows_are_not_retained(self):
+        """The network keeps counters, not records: once N transfers
+        have completed and the caller has dropped its results, every
+        Flow must be collectable, so long runs stay bounded."""
+        sim = Simulator()
+        net = FlowNetwork(sim, chain3(latency=0.1, bw_ab=50.0))
+        refs = []
+
+        def mover(src, dst, sizes):
+            for size in sizes:
+                flow = yield net.transfer(src, dst, size)
+                refs.append(weakref.ref(flow))
+
+        sim.process(mover("a", "c", [40.0, 10.0, 0.0, 25.0]))
+        sim.process(mover("c", "b", [30.0, 30.0]))
+        sim.process(mover("b", "b", [1e6, 5.0]))
+        sim.run()
+        gc.collect()
+        assert net.flows_completed == len(refs) == 8
+        assert [ref() for ref in refs] == [None] * 8
 
     def test_transfer_cost_accumulates(self):
         topo = Topology("paid")
