@@ -95,11 +95,18 @@ PRESET_WORKLOADS = {
 }
 
 
-def _get_workload(args):
-    """A preset name (``--workload``) or a saved file (``--dag``)."""
+def _get_workload(args, topo):
+    """A preset name (``--workload``) or a saved file (``--dag``): the
+    DAG and its external inputs, placed round-robin over the peripheral
+    sites of ``topo`` (over every site when there are none)."""
     if getattr(args, "dag", None):
-        return load_workload(args.dag)
-    return PRESET_WORKLOADS[args.workload](args.seed)
+        dag, externals = load_workload(args.dag)
+    else:
+        dag, externals = PRESET_WORKLOADS[args.workload](args.seed)
+    peripheral = [s.name for s in topo.sites if s.tier.is_peripheral]
+    sources = peripheral or topo.site_names
+    return dag, [(d, sources[i % len(sources)])
+                 for i, d in enumerate(externals)]
 
 
 def _get_topology(spec: str):
@@ -150,10 +157,7 @@ def _cmd_dag(args) -> int:
 
 def _cmd_schedule(args) -> int:
     topo = _get_topology(args.topology)
-    dag, externals = _get_workload(args)
-    peripheral = [s.name for s in topo.sites if s.tier.is_peripheral]
-    sources = peripheral or topo.site_names
-    placed = [(d, sources[i % len(sources)]) for i, d in enumerate(externals)]
+    dag, placed = _get_workload(args, topo)
     strategy = _get_strategy(args.strategy)
     result = ContinuumScheduler(topo, seed=args.seed).run(
         dag, strategy, external_inputs=placed
@@ -191,12 +195,24 @@ def _write_metrics_snapshot(registry: MetricsRegistry, path: str) -> None:
           f"({len(registry.families())} metric families)")
 
 
+def _write_chrome_trace(tracer: Tracer, metrics: MetricsRegistry | None,
+                        path: str, hint: str = "") -> None:
+    """Validate and write the run's Chrome trace (with the metrics
+    counter tracks when ``--metrics`` was given)."""
+    doc = to_chrome_trace(
+        tracer, recorder=metrics.timeseries if metrics else None
+    )
+    validate_chrome_trace(doc)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle)
+    print()
+    print(f"chrome trace written to {path} "
+          f"({len(doc['traceEvents'])} events{hint})")
+
+
 def _cmd_trace(args) -> int:
     topo = _get_topology(args.topology)
-    dag, externals = _get_workload(args)
-    peripheral = [s.name for s in topo.sites if s.tier.is_peripheral]
-    sources = peripheral or topo.site_names
-    placed = [(d, sources[i % len(sources)]) for i, d in enumerate(externals)]
+    dag, placed = _get_workload(args, topo)
     strategy = _get_strategy(args.strategy)
     tracer = Tracer()
     metrics = _run_metrics_registry(args)
@@ -212,16 +228,8 @@ def _cmd_trace(args) -> int:
     cp = critical_path(result, dag)
     print(critical_path_report(cp))
     if args.out:
-        doc = to_chrome_trace(
-            tracer, recorder=metrics.timeseries if metrics else None
-        )
-        validate_chrome_trace(doc)
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle)
-        print()
-        print(f"chrome trace written to {args.out} "
-              f"({len(doc['traceEvents'])} events; open in chrome://tracing "
-              f"or ui.perfetto.dev)")
+        _write_chrome_trace(tracer, metrics, args.out,
+                            "; open in chrome://tracing or ui.perfetto.dev")
     if metrics is not None:
         _write_metrics_snapshot(metrics, args.metrics)
     return 0
@@ -256,10 +264,7 @@ def _cmd_chaos(args) -> int:
             f"known: {sorted(CHAOS_POLICIES)}"
         )
     topo = _get_topology(args.topology)
-    dag, externals = _get_workload(args)
-    peripheral = [s.name for s in topo.sites if s.tier.is_peripheral]
-    sources = peripheral or topo.site_names
-    placed = [(d, sources[i % len(sources)]) for i, d in enumerate(externals)]
+    dag, placed = _get_workload(args, topo)
     strategy = _get_strategy(args.strategy)
     plan = campaign.build(topo)
     policy = policy_builder(args.seed)
@@ -299,15 +304,7 @@ def _cmd_chaos(args) -> int:
         for k, v in stats.as_row().items() if k != "policy"
     ))
     if args.out:
-        doc = to_chrome_trace(
-            tracer, recorder=metrics.timeseries if metrics else None
-        )
-        validate_chrome_trace(doc)
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle)
-        print()
-        print(f"chrome trace written to {args.out} "
-              f"({len(doc['traceEvents'])} events)")
+        _write_chrome_trace(tracer, metrics, args.out)
     if metrics is not None:
         _write_metrics_snapshot(metrics, args.metrics)
     return 0

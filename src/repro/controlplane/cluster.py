@@ -69,11 +69,15 @@ class ControlPlaneConfig:
                 f"unknown read mode {self.read_mode!r}; known: {READ_MODES}")
         check_non_negative("replication_lag_s", self.replication_lag_s)
         check_positive("heartbeat_interval_s", self.heartbeat_interval_s)
-        lo, hi = self.election_timeout_s
-        if not (0 < lo < hi):
+        try:
+            lo, hi = self.election_timeout_s
+            ordered = 0 < lo < hi
+        except (TypeError, ValueError):
+            ordered = False
+        if not ordered:
             raise ControlPlaneError(
                 f"election_timeout_s must be an increasing positive pair, "
-                f"got {self.election_timeout_s}")
+                f"got {self.election_timeout_s!r}")
         if lo <= 2 * self.heartbeat_interval_s:
             raise ControlPlaneError(
                 "election timeout must exceed two heartbeat intervals or "
@@ -90,6 +94,9 @@ class ControlPlaneConfig:
                 f"attached_node {self.attached_node} outside cluster of "
                 f"{self.n_sites}")
         check_positive("read_retry_interval_s", self.read_retry_interval_s)
+        if self.max_read_retries < 0:
+            raise ControlPlaneError(
+                f"max_read_retries must be >= 0, got {self.max_read_retries}")
 
     @classmethod
     def for_lag(cls, replication_lag_s: float, *, n_sites: int = 5,

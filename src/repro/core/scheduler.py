@@ -47,6 +47,7 @@ network contention — the planned-vs-measured gap is real and intended.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -141,9 +142,9 @@ class StreamJob:
     external_inputs: tuple = ()
 
     def __post_init__(self):
-        if self.arrival_s < 0:
+        if not (math.isfinite(self.arrival_s) and self.arrival_s >= 0):
             raise SchedulingError(
-                f"arrival_s must be >= 0, got {self.arrival_s}"
+                f"arrival_s must be finite and >= 0, got {self.arrival_s}"
             )
 
 
@@ -294,6 +295,46 @@ class ContinuumScheduler:
         return run.stream_result()
 
 
+class _Task:
+    """Everything one run tracks about one task, across its attempts."""
+
+    __slots__ = ("spec", "dag", "job", "waiting_on", "attempts",
+                 "failures", "history", "hedges", "live")
+
+    def __init__(self, spec: TaskSpec, dag: WorkflowDAG, job: int):
+        self.spec = spec
+        self.dag = dag
+        self.job = job                  # index into the run's job list
+        self.waiting_on = len(dag.dependencies(spec.name))
+        self.attempts = 0               # launched (counted when they start)
+        self.failures = 0               # attempts that ended without a result
+        self.history: list[str] = []    # one line per failure, for errors
+        self.hedges = 0                 # hedge duplicates launched
+        # attempts still running, by id; more than one only while a
+        # hedge duplicate races its primary
+        self.live: list[_Attempt] = []
+
+
+class _Attempt:
+    """One execution attempt of a task: a primary or a hedge duplicate."""
+
+    __slots__ = ("id", "task", "site", "decision", "is_hedge", "proc",
+                 "watchdog", "record", "req", "exec_started")
+
+    def __init__(self, attempt_id: int, task: _Task, site: str,
+                 decision: PlacementDecision, is_hedge: bool):
+        self.id = attempt_id
+        self.task = task
+        self.site = site
+        self.decision = decision
+        self.is_hedge = is_hedge
+        self.proc = None                # the attempt's kernel Process
+        self.watchdog = None            # pending timeout event, if any
+        self.record: TaskRecord | None = None
+        self.req = None                 # slot request, until released
+        self.exec_started = False
+
+
 class _Run:
     """Single-execution state (kept off the reusable scheduler)."""
 
@@ -363,18 +404,17 @@ class _Run:
             for site in self.ctx.candidates
         }
         # cross-job task bookkeeping (names must be globally unique)
-        self._dag_of: dict[str, WorkflowDAG] = {}
-        self._job_of: dict[str, int] = {}
-        self.remaining: dict[str, int] = {}
+        self.tasks: dict[str, _Task] = {}
         for idx, job in enumerate(jobs):
-            for name in job.dag.task_names:
-                if name in self._dag_of:
+            for spec in job.dag.tasks:
+                if spec.name in self.tasks:
                     raise SchedulingError(
-                        f"duplicate task name {name!r} across stream jobs"
+                        f"duplicate task name {spec.name!r} across stream jobs"
                     )
-                self._dag_of[name] = job.dag
-                self._job_of[name] = idx
-                self.remaining[name] = len(job.dag.dependencies(name))
+                self.tasks[spec.name] = _Task(spec, job.dag, idx)
+        # tasks with a live attempt, in the order they gained their first
+        # (outages interrupt their victims in this order)
+        self.running: dict[str, _Task] = {}
         self._job_pending = [len(job.dag) for job in jobs]
         self._job_finish = [0.0 for _ in jobs]
         self._register_datasets()
@@ -387,15 +427,7 @@ class _Run:
         self.compute_usd = 0.0
         self.energy_j = 0.0
         self.site_busy: dict[str, float] = {s.name: 0.0 for s in self.ctx.candidates}
-        self.attempts: dict[str, int] = {n: 0 for n in self._dag_of}
-        self.failures_of: dict[str, int] = {n: 0 for n in self._dag_of}
-        self.attempt_log: dict[str, list[str]] = {n: [] for n in self._dag_of}
-        # task -> attempt_id -> (Process, site); several attempts of one
-        # task run concurrently only while a hedge duplicate races
-        self._active_at: dict[str, dict[int, tuple]] = {}
         self._attempt_seq = 0
-        self._timeout_events: dict[int, object] = {}
-        self._hedges_of: dict[str, int] = {n: 0 for n in self._dag_of}
         self._probe_wake_at: float | None = None
         self.interruptions = 0
         self.wasted_exec_s = 0.0
@@ -579,7 +611,7 @@ class _Run:
             raise SchedulingError(
                 f"tasks failed during run: {failed}"
             ) from next(iter(self.failed_tasks.values()))
-        unfinished = [n for n in self._dag_of if n not in self.records]
+        unfinished = [n for n in self.tasks if n not in self.records]
         if unfinished:
             raise SchedulingError(
                 f"run ended with unfinished tasks: {sorted(unfinished)} "
@@ -603,14 +635,16 @@ class _Run:
         self.ctx.set_now(self.sim.now)
         self.strategy.prepare(job.dag, self.ctx)
         for name in job.dag.task_names:
-            if self.remaining[name] == 0:
-                self.ready.append(job.dag.task(name))
+            task = self.tasks[name]
+            if task.waiting_on == 0:
+                self.ready.append(task.spec)
                 self.tracer.instant("ready", "scheduler", task=name)
         self._schedule_dispatch()
 
     # -- results --------------------------------------------------------------------
     def _final_stats(self) -> ResilienceStats:
-        self.stats.attempts_total = sum(self.attempts.values())
+        self.stats.attempts_total = sum(t.attempts
+                                        for t in self.tasks.values())
         if self.breakers is not None:
             self.stats.breaker_trips = self.breakers.total_trips
             self.stats.breaker_probes = self.breakers.total_probes
@@ -618,27 +652,30 @@ class _Run:
             self.stats.budget_denials = self.budget.denied
         return self.stats
 
-    def single_result(self) -> ScheduleResult:
-        job = self.jobs[0]
-        makespan = max(
-            (r.exec_finished for r in self.records.values()), default=0.0
-        )
-        return ScheduleResult(
-            workflow=job.dag.name,
+    def _totals(self) -> dict:
+        """The accounting both result types carry."""
+        return dict(
             strategy=self.strategy.name,
-            makespan=makespan,
             records=self.records,
-            decisions=self.decisions,
             bytes_moved=self.network.total_bytes_moved,
             transfer_usd=self.network.total_transfer_cost_usd,
             compute_usd=self.compute_usd,
             energy_j=self.energy_j,
-            site_busy_s=self.site_busy,
             interruptions=self.interruptions,
             wasted_exec_s=self.wasted_exec_s,
             resilience=self._final_stats(),
             control=(self.control.stats if self.control is not None
                      else None),
+        )
+
+    def single_result(self) -> ScheduleResult:
+        makespan = max(
+            (r.exec_finished for r in self.records.values()), default=0.0
+        )
+        return ScheduleResult(
+            workflow=self.jobs[0].dag.name, makespan=makespan,
+            decisions=self.decisions, site_busy_s=self.site_busy,
+            **self._totals(),
         )
 
     def stream_result(self) -> StreamResult:
@@ -651,20 +688,7 @@ class _Run:
             )
             for idx, job in enumerate(self.jobs)
         ]
-        return StreamResult(
-            strategy=self.strategy.name,
-            jobs=jobs,
-            records=self.records,
-            bytes_moved=self.network.total_bytes_moved,
-            transfer_usd=self.network.total_transfer_cost_usd,
-            compute_usd=self.compute_usd,
-            energy_j=self.energy_j,
-            interruptions=self.interruptions,
-            wasted_exec_s=self.wasted_exec_s,
-            resilience=self._final_stats(),
-            control=(self.control.stats if self.control is not None
-                     else None),
-        )
+        return StreamResult(jobs=jobs, **self._totals())
 
     # -- failure injection ---------------------------------------------------------
     def _arm_failures(self) -> None:
@@ -690,16 +714,12 @@ class _Run:
             # registry learns of the death through the replicated log;
             # stale readers keep routing to the corpse until it commits
             self.catalog.endpoint_down(outage.site)
-        if outage.site in self.ctx._slots:
+        if outage.site in self.resources:
             self.ctx.mark_down(outage.site)
-        victims = [
-            (name, proc)
-            for name, attempts in self._active_at.items()
-            for _aid, (proc, site) in attempts.items()
-            if site == outage.site
-        ]
-        for _name, proc in victims:
-            proc.interrupt(cause=f"outage@{outage.site}")
+        victims = [att for task in self.running.values() for att in task.live
+                   if att.site == outage.site]
+        for att in victims:
+            att.proc.interrupt(cause=f"outage@{outage.site}")
 
     def _site_up(self, site: str) -> None:
         # overlapping outages are reference-counted: the site recovers
@@ -824,7 +844,9 @@ class _Run:
                        decision: PlacementDecision,
                        is_hedge: bool = False) -> None:
         """Launch one execution attempt (primary or hedge duplicate)."""
-        attempt_id = self._attempt_seq
+        state = self.tasks[task.name]
+        att = _Attempt(self._attempt_seq, state, site_name, decision,
+                       is_hedge)
         self._attempt_seq += 1
         now = self.sim.now
         if self.breakers is not None:
@@ -833,65 +855,58 @@ class _Run:
                 breaker.note_probe(now)
                 self.tracer.instant("breaker_probe", "resilience",
                                     site=site_name, task=task.name)
-        proc = self.sim.process(
-            self._task_proc(task, site_name, decision, attempt_id,
-                            is_hedge=is_hedge),
-            name=f"task:{task.name}#{attempt_id}",
-        )
-        self._active_at.setdefault(task.name, {})[attempt_id] = (proc, site_name)
+        att.proc = self.sim.process(self._task_proc(att),
+                                    name=f"task:{task.name}#{att.id}")
+        if not state.live:
+            self.running[task.name] = state
+        state.live.append(att)
         if self.resilience is not None:
             timeout_s = self.resilience.attempt_timeout_s(
                 decision.est_stage_s + decision.est_exec_s
             )
             if timeout_s is not None:
-                self._timeout_events[attempt_id] = self.sim.schedule(
-                    timeout_s, self._attempt_timeout,
-                    task.name, attempt_id, site_name, timeout_s,
-                )
+                att.watchdog = self.sim.schedule(
+                    timeout_s, self._attempt_timeout, att, timeout_s)
         if (self.hedge is not None and not is_hedge
                 and task.pinned_site is None
-                and self._hedges_of[task.name] < self.hedge.max_hedges):
+                and state.hedges < self.hedge.max_hedges):
             self.sim.schedule_at(
                 self.hedge.hedge_at(now, decision.est_finish),
-                self._maybe_hedge, task.name, attempt_id,
+                self._maybe_hedge, att,
             )
 
-    def _end_attempt(self, name: str, attempt_id: int) -> None:
+    def _end_attempt(self, att: _Attempt) -> None:
         """Drop attempt bookkeeping (watchdog event included)."""
-        attempts = self._active_at.get(name)
-        if attempts is not None:
-            attempts.pop(attempt_id, None)
-            if not attempts:
-                del self._active_at[name]
-        event = self._timeout_events.pop(attempt_id, None)
-        if event is not None:
-            self.sim.cancel(event)
+        task = att.task
+        task.live.remove(att)
+        if not task.live:
+            del self.running[task.spec.name]
+        if att.watchdog is not None:
+            self.sim.cancel(att.watchdog)
+            att.watchdog = None
 
-    def _attempt_timeout(self, name: str, attempt_id: int,
-                         site_name: str, timeout_s: float) -> None:
-        """Watchdog: an attempt exceeded its policy deadline."""
-        self._timeout_events.pop(attempt_id, None)
-        entry = self._active_at.get(name, {}).get(attempt_id)
-        if entry is None:
-            return
-        proc, _site = entry
+    def _attempt_timeout(self, att: _Attempt, timeout_s: float) -> None:
+        """Watchdog: an attempt exceeded its policy deadline (an attempt
+        that ended earlier cancelled this event)."""
+        att.watchdog = None
         self.stats.timeouts += 1
-        self.tracer.instant("attempt_timeout", "resilience", task=name,
-                            site=site_name, timeout_s=timeout_s)
-        proc.interrupt(cause=f"timeout@{site_name}")
+        self.tracer.instant("attempt_timeout", "resilience",
+                            task=att.task.spec.name, site=att.site,
+                            timeout_s=timeout_s)
+        att.proc.interrupt(cause=f"timeout@{att.site}")
 
-    def _maybe_hedge(self, name: str, attempt_id: int) -> None:
+    def _maybe_hedge(self, att: _Attempt) -> None:
         """Hedge-check fired: duplicate the attempt if it is straggling."""
-        if name in self.records or self.hedge is None:
+        state = att.task
+        task = state.spec
+        if task.name in self.records:
             return
-        attempts = self._active_at.get(name)
-        if not attempts or attempt_id not in attempts:
+        if att not in state.live:
             return   # that attempt already ended; its successor re-arms
-        if self._hedges_of[name] >= self.hedge.max_hedges:
+        if state.hedges >= self.hedge.max_hedges:
             return
-        task = self._dag_of[name].task(name)
         self.ctx.set_now(self.sim.now)
-        running_sites = {site for _proc, site in attempts.values()}
+        running_sites = {a.site for a in state.live}
         self.ctx.set_vetoed(self._breaker_vetoes() | running_sites)
         try:
             if not self.ctx.candidates:
@@ -909,26 +924,24 @@ class _Run:
             self.ctx.set_vetoed(())
         self.ctx.reserve(site_name, est_finish)
         decision = PlacementDecision(
-            task=name, site=site_name, decided_at=self.sim.now,
+            task=task.name, site=site_name, decided_at=self.sim.now,
             est_stage_s=est.stage_time_s, est_exec_s=est.exec_time_s,
             est_finish=est_finish,
         )
         self.decisions.append(decision)
-        self._hedges_of[name] += 1
+        state.hedges += 1
         self.stats.hedges_launched += 1
-        self.tracer.instant("hedge_launch", "resilience", task=name,
-                            site=site_name,
-                            racing={s for s in running_sites} and
-                                   sorted(running_sites))
+        self.tracer.instant("hedge_launch", "resilience", task=task.name,
+                            site=site_name, racing=sorted(running_sites))
         self._start_attempt(task, site_name, decision, is_hedge=True)
 
-    def _task_proc(self, task: TaskSpec, site_name: str,
-                   decision: PlacementDecision, attempt_id: int,
-                   is_hedge: bool = False):
+    def _task_proc(self, att: _Attempt):
+        state, site_name, decision = att.task, att.site, att.decision
+        task = state.spec
         site = self.ctx.site(site_name)
-        self.attempts[task.name] += 1
-        attempt_no = self.attempts[task.name]
-        record = TaskRecord(
+        state.attempts += 1
+        attempt_no = state.attempts
+        record = att.record = TaskRecord(
             task=task.name, site=site_name, kind=task.kind,
             ready_at=self.sim.now, deadline_s=task.deadline_s,
             attempts=attempt_no,
@@ -936,14 +949,12 @@ class _Run:
         tracer = self.tracer
         tspan = tracer.begin(
             f"task:{task.name}", "task", site=site_name, kind=task.kind,
-            attempt=attempt_no, hedge=is_hedge,
+            attempt=attempt_no, hedge=att.is_hedge,
             est_stage_s=decision.est_stage_s,
             est_exec_s=decision.est_exec_s,
             est_finish=decision.est_finish,
         )
         phase = None   # the open child span, closed on interrupt/failure
-        req = None
-        exec_started = False
         try:
             record.stage_started = self.sim.now
             phase = tracer.begin("stage", "stage", parent=tspan)
@@ -956,11 +967,11 @@ class _Run:
             tracer.end(phase, bytes=record.bytes_staged)
 
             phase = tracer.begin("queue", "queue", parent=tspan)
-            req = self.resources[site_name].request()
+            req = att.req = self.resources[site_name].request()
             yield req
             tracer.end(phase)
             record.exec_started = self.sim.now
-            exec_started = True
+            att.exec_started = True
             phase = tracer.begin("exec", "exec", parent=tspan)
             exec_time = site.service_time(task.work, kind=task.kind)
             fate = None
@@ -981,7 +992,7 @@ class _Run:
             if exec_time > 0:
                 yield Timeout(exec_time)
             self.resources[site_name].release(req)
-            req = None
+            att.req = None
             record.exec_finished = self.sim.now
             tracer.end(phase)
             tracer.end(tspan)
@@ -991,19 +1002,13 @@ class _Run:
                       else "interrupted")
             tracer.end(phase, status=status)
             tracer.end(tspan, status=status, cause=intr.cause)
-            self._on_attempt_end(task, site_name, record, attempt_id,
-                                 req=req, req_held=False,
-                                 exec_started=exec_started, cause=cause,
-                                 is_hedge=is_hedge)
+            self._on_attempt_end(att, cause)
             return
         except _TransientFault as fault:
             self.stats.transient_faults += 1
             tracer.end(phase, status="failed")
             tracer.end(tspan, status="failed", cause=fault.cause)
-            self._on_attempt_end(task, site_name, record, attempt_id,
-                                 req=req, req_held=True,
-                                 exec_started=True, cause=fault.cause,
-                                 is_hedge=is_hedge)
+            self._on_attempt_end(att, fault.cause)
             return
         except Exception as exc:  # noqa: BLE001 - recorded, or retried by policy
             tracer.end(phase, status="failed")
@@ -1011,37 +1016,28 @@ class _Run:
             if (self.resilience is not None
                     and isinstance(exc, DataFabricError)):
                 # corrupted staging is transient under a recovery policy
-                self._on_attempt_end(task, site_name, record, attempt_id,
-                                     req=req, req_held=False,
-                                     exec_started=exec_started,
-                                     cause=f"staging@{site_name}: {exc}",
-                                     is_hedge=is_hedge)
+                self._on_attempt_end(att, f"staging@{site_name}: {exc}")
                 return
-            self._end_attempt(task.name, attempt_id)
+            self._end_attempt(att)
             self.failed_tasks[task.name] = exc
             return
-        self._complete_attempt(task, site_name, record, attempt_id,
-                               is_hedge=is_hedge)
+        self._complete_attempt(att)
 
-    def _complete_attempt(self, task: TaskSpec, site_name: str,
-                          record: TaskRecord, attempt_id: int,
-                          is_hedge: bool) -> None:
+    def _complete_attempt(self, att: _Attempt) -> None:
         """An attempt ran to completion; first finisher wins the task."""
+        state, site_name, record = att.task, att.site, att.record
+        task = state.spec
         name = task.name
-        self._end_attempt(name, attempt_id)
+        self._end_attempt(att)
         if name in self.records:
             # a sibling won at this same instant; count this as waste
-            self.wasted_exec_s += record.exec_time
-            self.site_busy[site_name] += record.exec_time
-            site = self.ctx.site(site_name)
-            self.energy_j += site.power.marginal_energy(record.exec_time)
+            self._charge_waste(att)
             self.stats.hedges_lost += 1
             return
         # cancel racing duplicates (hedge losers)
-        for _aid, (proc, loser_site) in list(
-                self._active_at.get(name, {}).items()):
-            proc.interrupt(cause="hedge-cancel")
-        if is_hedge:
+        for loser in state.live:   # interrupts land later this instant
+            loser.proc.interrupt(cause="hedge-cancel")
+        if att.is_hedge:
             self.stats.hedges_won += 1
             self.tracer.instant("hedge_won", "resilience", task=name,
                                 site=site_name)
@@ -1055,7 +1051,7 @@ class _Run:
         site = self.ctx.site(site_name)
         record.energy_j = site.power.marginal_energy(record.exec_time)
         record.compute_usd = site.pricing.compute_cost(record.exec_time)
-        record.attempts = self.attempts[name]
+        record.attempts = state.attempts
         self.energy_j += record.energy_j
         self.compute_usd += record.compute_usd
         self.site_busy[site_name] += record.exec_time
@@ -1068,42 +1064,42 @@ class _Run:
             self.catalog.add_replica(out.name, site_name, time=self.sim.now)
         self.strategy.observe(record, self.ctx)
 
-        job_idx = self._job_of[name]
-        self._job_pending[job_idx] -= 1
-        if self._job_pending[job_idx] == 0:
-            self._job_finish[job_idx] = self.sim.now
+        self._job_pending[state.job] -= 1
+        if self._job_pending[state.job] == 0:
+            self._job_finish[state.job] = self.sim.now
 
-        dag = self._dag_of[name]
-        for dependent in dag.dependents(name):
-            self.remaining[dependent] -= 1
-            if self.remaining[dependent] == 0:
-                self.ready.append(dag.task(dependent))
+        for dependent in state.dag.dependents(name):
+            waiter = self.tasks[dependent]
+            waiter.waiting_on -= 1
+            if waiter.waiting_on == 0:
+                self.ready.append(waiter.spec)
                 self.tracer.instant("ready", "scheduler", task=dependent)
                 self._schedule_dispatch()
 
-    def _on_attempt_end(self, task: TaskSpec, site_name: str,
-                        record: TaskRecord, attempt_id: int, *,
-                        req, req_held: bool, exec_started: bool,
-                        cause: str, is_hedge: bool) -> None:
+    def _charge_waste(self, att: _Attempt) -> float:
+        """Charge the slot time an attempt used without producing the
+        task's result as waste (busy time and energy included, since the
+        slot really burned); returns the seconds charged."""
+        if not att.exec_started:
+            return 0.0
+        wasted = self.sim.now - att.record.exec_started
+        self.wasted_exec_s += wasted
+        self.site_busy[att.site] += wasted
+        self.energy_j += self.ctx.site(att.site).power.marginal_energy(wasted)
+        return wasted
+
+    def _on_attempt_end(self, att: _Attempt, cause: str) -> None:
         """An attempt ended without producing the task's result: an
         outage or timeout interrupt, a chaos transient fault, a hedge
         cancellation, or (policy-gated) a staging failure. Clean up,
         account the waste exactly, then decide whether to retry."""
-        name = task.name
-        self._end_attempt(name, attempt_id)
-        if req is not None:
-            if req_held:
-                self.resources[site_name].release(req)
-            else:
-                self.resources[site_name].cancel(req)
-        if exec_started:
-            wasted = self.sim.now - record.exec_started
-            self.wasted_exec_s += wasted
-            self.site_busy[site_name] += wasted  # the slot really burned
-            site = self.ctx.site(site_name)
-            self.energy_j += site.power.marginal_energy(wasted)
-        else:
-            wasted = 0.0
+        state, site_name = att.task, att.site
+        name = state.spec.name
+        self._end_attempt(att)
+        if att.req is not None:
+            # releases the slot if granted, leaves the queue otherwise
+            self.resources[site_name].cancel(att.req)
+        wasted = self._charge_waste(att)
 
         if cause == "hedge-cancel":
             self.stats.hedges_lost += 1
@@ -1116,9 +1112,9 @@ class _Run:
             "interrupted", "scheduler", task=name, site=site_name,
             cause=cause, wasted_s=wasted,
         )
-        self.failures_of[name] += 1
-        self.attempt_log[name].append(
-            f"attempt {self.failures_of[name]} at {site_name}: {cause}"
+        state.failures += 1
+        state.history.append(
+            f"attempt {state.failures} at {site_name}: {cause}"
         )
         if self.breakers is not None and not cause.startswith("staging@"):
             breaker = self.breakers.get(site_name)
@@ -1127,24 +1123,24 @@ class _Run:
             if breaker.trips > trips_before:
                 self.tracer.instant("breaker_open", "resilience",
                                     site=site_name,
-                                    failures=self.failures_of[name])
+                                    failures=state.failures)
 
-        if self._active_at.get(name):
+        if state.live:
             # a hedge duplicate is still racing; it owns the outcome now
             return
         if name in self.records:
             return
-        self._retry_or_fail(task, cause)
+        self._retry_or_fail(state, cause)
 
-    def _retry_or_fail(self, task: TaskSpec, cause: str) -> None:
-        name = task.name
-        failures = self.failures_of[name]
+    def _retry_or_fail(self, state: _Task, cause: str) -> None:
+        name = state.spec.name
+        failures = state.failures
         if self.resilience is not None:
             allowed = self.resilience.retry.allows_retry(failures)
         else:
             allowed = failures <= self.task_retries
         if not allowed:
-            history = "; ".join(self.attempt_log[name])
+            history = "; ".join(state.history)
             self.failed_tasks[name] = SchedulingError(
                 f"task {name!r} interrupted {failures} times "
                 f"(cause: {cause}); retries exhausted [{history}]"
@@ -1162,9 +1158,9 @@ class _Run:
         if delay > 0:
             self.tracer.instant("retry_backoff", "resilience", task=name,
                                 delay_s=delay, failures=failures)
-            self.sim.schedule(delay, self._requeue, task, cause)
+            self.sim.schedule(delay, self._requeue, state.spec, cause)
         else:
-            self._requeue(task, cause)
+            self._requeue(state.spec, cause)
 
     def _requeue(self, task: TaskSpec, cause: str) -> None:
         if task.name in self.records:

@@ -40,6 +40,17 @@ class TestConfig:
         with pytest.raises(ControlPlaneError):
             cfg(heartbeat_interval_s=2.0, election_timeout_s=(3.0, 6.0))
 
+    @pytest.mark.parametrize("overrides", [
+        dict(max_read_retries=-1),
+        dict(election_timeout_s=5.0),
+        dict(election_timeout_s=(3.0,)),
+    ], ids=["negative-read-retries", "scalar-election-timeout",
+            "one-element-election-timeout"])
+    def test_rejects_malformed_knobs_with_one_line_error(self, overrides):
+        with pytest.raises(ControlPlaneError) as info:
+            cfg(**overrides)
+        assert "\n" not in str(info.value)
+
     def test_for_lag_derives_consistent_timers(self):
         for lag in (0.0, 0.05, 2.0, 32.0):
             c = ControlPlaneConfig.for_lag(lag, n_sites=5, read_mode="stale")

@@ -55,6 +55,11 @@ class TestStreamBasics:
         with pytest.raises(SchedulingError):
             job(-1.0, "x")
 
+    @pytest.mark.parametrize("arrival", [float("nan"), float("inf")])
+    def test_non_finite_arrival_rejected(self, arrival):
+        with pytest.raises(SchedulingError, match="finite"):
+            job(arrival, "x")
+
 
 class TestQueueingBehavior:
     def test_overlapping_jobs_contend_for_slots(self):
