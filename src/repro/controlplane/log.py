@@ -10,6 +10,7 @@ trivially; the applied state machine lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import ControlPlaneError
 
@@ -49,8 +50,10 @@ class Command:
 NOOP = Command("noop")
 
 
-@dataclass(frozen=True)
-class LogEntry:
+class LogEntry(NamedTuple):
+    """One replicated command at its 1-based ``index``, proposed in
+    ``term``."""
+
     index: int
     term: int
     command: Command
@@ -70,23 +73,25 @@ class ReplicatedLog:
 
     Indices are 1-based as in the Raft paper; index 0 is the empty-log
     sentinel with term 0. After compaction, entries at or below
-    ``base_index`` exist only inside the snapshot.
+    ``base_index`` exist only inside the snapshot. ``last_index`` and
+    ``last_term`` are plain attributes kept current by every mutation
+    (consensus reads them on every message).
     """
 
     def __init__(self) -> None:
         self._entries: list[LogEntry] = []
         self.base_index = 0
         self.base_term = 0
+        self.last_index = 0
+        self.last_term = 0
         self.snapshot: Snapshot | None = None
 
     # -- shape -------------------------------------------------------------------
-    @property
-    def last_index(self) -> int:
-        return self._entries[-1].index if self._entries else self.base_index
-
-    @property
-    def last_term(self) -> int:
-        return self._entries[-1].term if self._entries else self.base_term
+    def _sync_tail(self) -> None:
+        if self._entries:
+            self.last_index, self.last_term = self._entries[-1][:2]
+        else:
+            self.last_index, self.last_term = self.base_index, self.base_term
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -107,7 +112,9 @@ class ReplicatedLog:
 
     # -- mutation -----------------------------------------------------------------
     def append(self, term: int, command: Command) -> LogEntry:
-        entry = LogEntry(self.last_index + 1, term, command)
+        self.last_index += 1
+        self.last_term = term
+        entry = LogEntry(self.last_index, term, command)
         self._entries.append(entry)
         return entry
 
@@ -128,6 +135,7 @@ class ReplicatedLog:
                 f"cannot truncate into compacted prefix at {index}"
             )
         del self._entries[index - self.base_index - 1:]
+        self._sync_tail()
 
     def compact(self, snapshot: Snapshot) -> None:
         """Discard entries covered by ``snapshot``, keeping the suffix."""
@@ -138,6 +146,7 @@ class ReplicatedLog:
         self.base_index = snapshot.last_index
         self.base_term = snapshot.last_term
         self.snapshot = snapshot
+        self._sync_tail()
 
     def install(self, snapshot: Snapshot) -> None:
         """Replace the whole log with ``snapshot`` (follower catch-up
@@ -146,3 +155,4 @@ class ReplicatedLog:
         self.base_index = snapshot.last_index
         self.base_term = snapshot.last_term
         self.snapshot = snapshot
+        self._sync_tail()

@@ -9,7 +9,9 @@ replaced, so an optimised layer can be checked against it:
 - :mod:`tests.oracles.kernel` — the binary-heap event queue and the
   seed event kernel;
 - :mod:`tests.oracles.fairness` — scalar max-min, weighted max-min and
-  equal-share solvers.
+  equal-share solvers;
+- :mod:`tests.oracles.commit` — the control-plane leader's per-index
+  commit scan.
 
 ``python -m tests.oracles`` runs ``python -m repro.bench`` on the
 scalar dispatch oracle (see :mod:`tests.oracles.__main__`).
