@@ -89,7 +89,10 @@ class PartitionSchedule:
         return len(self.windows)
 
     def validate_against(self, n_control_sites: int) -> None:
-        """Every island member must be a valid control-site id."""
+        """Every island member must be a valid control-site id, and no
+        two windows may overlap (the control plane holds one split at a
+        time: a second split would replace the first, and the first heal
+        would end both). Windows that merely touch are fine."""
         if n_control_sites < 1:
             raise ConfigurationError(
                 f"n_control_sites must be >= 1, got {n_control_sites}"
@@ -101,6 +104,14 @@ class PartitionSchedule:
                 raise ConfigurationError(
                     f"partition island references unknown control sites "
                     f"{bad} (cluster has {n_control_sites})"
+                )
+        ordered = sorted(self.windows, key=lambda w: (w.start_s, w.end_s))
+        for prev, nxt in zip(ordered, ordered[1:]):
+            if nxt.start_s < prev.end_s:
+                raise ConfigurationError(
+                    f"partition windows [{prev.start_s}, {prev.end_s}) and "
+                    f"[{nxt.start_s}, {nxt.end_s}) overlap; the control "
+                    f"plane holds one split at a time"
                 )
 
 

@@ -207,6 +207,31 @@ class TestHealing:
         assert plane.messages_dropped > 0 or plane.messages_sent >= 0
 
 
+class TestNonFiniteTime:
+    """A NaN or infinite time is rejected before the plane drains
+    anything (heartbeats would otherwise refill the drain forever)."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")],
+                             ids=["nan", "inf"])
+    def test_every_entry_point_rejects_with_one_line_error(self, bad):
+        plane = ControlPlane(cfg(), RngRegistry(0))
+        plane.advance(1.0)
+        calls = [
+            lambda: plane.advance(bad),
+            lambda: plane.submit(Command("register", ("d", 1.0, "x")), bad),
+            lambda: plane.begin_partition(
+                PartitionWindow(1.0, 5.0, "leader"), bad),
+            lambda: plane.end_partition(bad),
+        ]
+        for call in calls:
+            with pytest.raises(ControlPlaneError) as info:
+                call()
+            assert "\n" not in str(info.value)
+        assert plane.now == 1.0
+        assert plane.writes_submitted == 0
+        assert not plane.partitioned
+
+
 class TestBootstrap:
     def test_bootstrap_prefix_applies_everywhere(self):
         plane = ControlPlane(cfg())

@@ -53,6 +53,29 @@ class TestPartitionSchedule:
             schedule.validate_against(5)
         schedule.validate_against(8)
 
+    def test_validate_against_rejects_overlapping_windows(self):
+        schedule = PartitionSchedule()
+        schedule.add(PartitionWindow(10.0, 40.0, "minority", (0, 1)))
+        schedule.add(PartitionWindow(20.0, 30.0, "single", (4,)))
+        with pytest.raises(ConfigurationError) as info:
+            schedule.validate_against(5)
+        assert "\n" not in str(info.value)
+        assert "overlap" in str(info.value)
+
+    def test_validate_against_checks_overlap_in_time_order(self):
+        schedule = PartitionSchedule()
+        schedule.add(PartitionWindow(50.0, 60.0, "leader"))
+        schedule.add(PartitionWindow(0.0, 55.0, "single", (1,)))
+        with pytest.raises(ConfigurationError):
+            schedule.validate_against(5)
+
+    def test_touching_windows_stay_legal(self):
+        schedule = PartitionSchedule()
+        schedule.add(PartitionWindow(20.0, 30.0, "single", (4,)))
+        schedule.add(PartitionWindow(10.0, 20.0, "minority", (0, 1)))
+        schedule.add(PartitionWindow(30.0, 40.0, "leader"))
+        schedule.validate_against(5)
+
 
 class TestPoissonPartitions:
     def _gen(self, seed=0, **overrides):
