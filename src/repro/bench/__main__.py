@@ -111,6 +111,9 @@ def main(argv: list[str] | None = None) -> int:
     for entry in entries:
         print(entry.rendered)
         print()
+    for entry in entries:
+        print(f"# {entry.experiment_id}: {entry.wall_s:.2f} s "
+              f"({entry.shards} shards)", file=sys.stderr)
     wall = time.perf_counter() - t0
     cached = sum(1 for e in entries if e.cached)
     shards = sum(e.shards for e in entries if not e.cached)

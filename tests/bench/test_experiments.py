@@ -3,6 +3,8 @@ non-empty rows with its expected columns, and reproduce its headline
 shape claim. (The benchmark suite asserts the full shape set; these keep
 `pytest tests/` sufficient to catch experiment regressions.)"""
 
+import re
+
 import pytest
 
 from repro.bench import EXPERIMENTS
@@ -168,6 +170,18 @@ class TestCLI:
         assert main(["E1", "--no-cache"]) == 0
         out = capsys.readouterr().out
         assert "E1: Gilder crossover" in out
+
+    def test_prints_wall_time_per_experiment_before_footer(self, capsys):
+        from repro.bench.__main__ import main
+
+        assert main(["E1", "E4", "--quick", "--no-cache"]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        per = [line for line in lines
+               if re.fullmatch(r"# E\d+: \d+\.\d\d s \(\d+ shards\)", line)]
+        assert [line.split(":")[0] for line in per] == ["# E1", "# E4"]
+        footer = next(i for i, line in enumerate(lines)
+                      if line.startswith("# suite:"))
+        assert all(lines.index(line) < footer for line in per)
 
     def test_unknown_experiment(self, capsys):
         from repro.bench.__main__ import main
